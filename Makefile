@@ -48,10 +48,12 @@ trace-golden:
 	/tmp/dgp-trace diff /tmp/seq.jsonl /tmp/pool.jsonl
 
 # Disabled tracing must stay near-zero-cost: the steady-state allocation
-# budget test fails if the per-round allocation count regresses (0
-# allocs/round on every engine mode since the columnar rewrite).
+# budget tests fail if the per-round allocation count regresses (0
+# allocs/round on every engine mode since the columnar rewrite, and on
+# template rounds since stage tags moved into the engine's Msg).
 alloc-guard:
 	$(GO) test -run 'TestSteadyStateAllocBudget' -count=1 -v ./internal/runtime/
+	$(GO) test -run 'TestTemplateAllocBudget' -count=1 -v ./internal/core/
 
 # The 100k-node scale sweep on both engines — a fast end-to-end smoke of
 # the columnar hot path (CSR build, arena inboxes, frontier compaction).

@@ -6,8 +6,9 @@
 // results depend on ruling out.
 //
 // Checked sites: composite literals of the runtime.Out message struct,
-// assignments to an Out's Payload field, and the payload argument of
-// Broadcast/BroadcastTo. Payloads typed as interfaces are skipped (they are
+// assignments to an Out's Payload field, the payload argument of the
+// Broadcast/BroadcastTo helpers, and the payload of the Broadcast and
+// BroadcastTagged methods (runtime.Env, core.StageCtx). Payloads typed as interfaces are skipped (they are
 // checked where their concrete values are built).
 package bitsize
 
@@ -104,16 +105,21 @@ func checkBroadcast(pass *analysis.Pass, call *ast.CallExpr) {
 	default:
 		return
 	}
-	if name != "Broadcast" && name != "BroadcastTo" {
+	f, ok := exprFunc(pass, call.Fun)
+	if !ok {
 		return
 	}
-	if _, ok := exprFunc(pass, call.Fun); !ok {
+	if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
+		// Env.Broadcast, Env.BroadcastTagged, StageCtx.Broadcast: the
+		// payload comes first.
+		if (name == "Broadcast" || name == "BroadcastTagged") && len(call.Args) >= 1 {
+			checkPayloadExpr(pass, call.Args[0])
+		}
 		return
 	}
-	if len(call.Args) != 2 {
-		return
+	if (name == "Broadcast" || name == "BroadcastTo") && len(call.Args) == 2 {
+		checkPayloadExpr(pass, call.Args[1])
 	}
-	checkPayloadExpr(pass, call.Args[1])
 }
 
 func checkPayloadAssign(pass *analysis.Pass, s *ast.AssignStmt) {

@@ -44,6 +44,21 @@ func build(to int) []Out {
 	return outs
 }
 
+// Ctx mirrors the broadcast methods of runtime.Env and core.StageCtx.
+type Ctx struct{}
+
+func (*Ctx) Broadcast(p any) {}
+
+func (*Ctx) BroadcastTagged(p any, tag uint32) {}
+
+func send(c *Ctx, p any) {
+	c.Broadcast(sized{})
+	c.Broadcast(unsized{}) // want `payload type unsized does not implement BitSized`
+	c.BroadcastTagged(&ptrSized{}, 1)
+	c.BroadcastTagged(unsized{}, 1) // want `payload type unsized does not implement BitSized`
+	c.Broadcast(p)
+}
+
 // forward re-sends an interface-typed payload: checked where the concrete
 // value was built, not here.
 func forward(to int, p any) Out {

@@ -56,7 +56,8 @@ type misChecker struct {
 
 func (m *misChecker) Send(c *core.StageCtx) []runtime.Out {
 	if c.StageRound() == 1 {
-		return runtime.Broadcast(c.Info(), bitMsg{V: m.bit})
+		c.Broadcast(bitMsg{V: m.bit})
+		return nil
 	}
 	verdict := Accept
 	if m.bit == 1 && m.sawSame {
@@ -105,7 +106,8 @@ type matchChecker struct {
 
 func (m *matchChecker) Send(c *core.StageCtx) []runtime.Out {
 	if c.StageRound() == 1 {
-		return runtime.Broadcast(c.Info(), bitMsg{V: m.pred})
+		c.Broadcast(bitMsg{V: m.pred})
+		return nil
 	}
 	c.Output(m.verdict(c.Info()))
 	return nil
@@ -155,7 +157,8 @@ type vcolorChecker struct {
 
 func (m *vcolorChecker) Send(c *core.StageCtx) []runtime.Out {
 	if c.StageRound() == 1 {
-		return runtime.Broadcast(c.Info(), bitMsg{V: m.pred})
+		c.Broadcast(bitMsg{V: m.pred})
+		return nil
 	}
 	if m.bad || m.pred < 1 || m.pred > c.Info().Delta+1 {
 		c.Output(Reject)

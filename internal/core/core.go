@@ -6,9 +6,17 @@
 // combinators over those stages.
 //
 // Stage machines are written exactly like ordinary per-node machines; the
-// combinators multiplex their messages onto the underlying network by tagging
-// each payload with the stage or lane it belongs to, so the composed
-// algorithms use their components as black boxes, as the paper prescribes.
+// combinators multiplex their messages onto the underlying network by
+// stamping each message's engine tag (runtime.Msg.Tag) with the lane and
+// stage it belongs to, so the composed algorithms use their components as
+// black boxes, as the paper prescribes. Payloads are never boxed: returned
+// Outs are stamped in place, StageCtx.Broadcast rides the engine's
+// Env.Broadcast fast path, and each receive checks the inbox's tags in
+// place before handing the engine's inbox to the stage unchanged. A message
+// with the wrong tag is a lockstep violation and an untagged one (a payload
+// the adversary replaced) is a protocol error. The (lane, stage) encoding is
+// private to this package; the engine only copies the tag and accounts
+// runtime.TagHeaderBits for it.
 // A per-node shared memory (created once per node, visible to every stage of
 // that node) carries the knowledge the paper assumes persists across stages,
 // such as which neighbors have terminated with which outputs.
@@ -56,8 +64,15 @@ type MemoryFactory func(info runtime.NodeInfo, pred any) any
 type StageCtx struct {
 	env        *runtime.Env
 	mem        any
+	tag        uint32
 	stageRound int
 	yielded    bool
+}
+
+// newCtx returns a fresh context for a stage running on the given lane and
+// stage index.
+func newCtx(mem any, lane uint8, stage uint16) StageCtx {
+	return StageCtx{mem: mem, tag: stageTag(lane, stage)}
 }
 
 // Info returns the node's static information.
@@ -94,6 +109,14 @@ func (c *StageCtx) PartialOutput(v any) {
 // stage takes over starting next round.
 func (c *StageCtx) Yield() { c.yielded = true }
 
+// Broadcast sends payload to every neighbor this round on the engine's
+// zero-allocation path (runtime.Env.BroadcastTagged with this stage's tag).
+// Call it from Send at most once per round and return nil. A stage that
+// shares its rounds with another sender — a lane of the Parallel
+// template's U+R1 section — must return its messages instead: the engine
+// rejects a broadcast alongside returned sends, or two in one round.
+func (c *StageCtx) Broadcast(payload runtime.Payload) { c.env.BroadcastTagged(payload, c.tag) }
+
 // Fail records a protocol error that aborts the run.
 func (c *StageCtx) Fail(err error) { c.env.Fail(err) }
 
@@ -112,42 +135,39 @@ func annotateStage(env *runtime.Env, name string, budget int) {
 	env.Annotate(obs.SpanStagePrefix+name, int64(budget))
 }
 
-// taggedMsg wraps a stage payload with the lane and stage it belongs to.
-type taggedMsg struct {
-	lane    uint8
-	stage   uint16
-	payload any
+// stageTag encodes a (lane, stage) pair as an engine message tag. The marker
+// bit keeps every stage tag nonzero: the engine's 0 means untagged.
+func stageTag(lane uint8, stage uint16) uint32 {
+	return 1<<24 | uint32(lane)<<16 | uint32(stage)
 }
 
-// Bits implements runtime.BitSized when the payload does, adding a small
-// fixed header for the tags.
-func (m taggedMsg) Bits() int {
-	const header = 8
-	if bs, ok := m.payload.(runtime.BitSized); ok {
-		return header + bs.Bits()
-	}
-	return -1 // forces LOCAL accounting upstream
+// splitTag decodes a stageTag.
+func splitTag(tag uint32) (lane uint8, stage uint16) {
+	return uint8(tag >> 16), uint16(tag)
 }
 
-func wrapOuts(outs []runtime.Out, lane uint8, stage uint16) []runtime.Out {
+// stamp tags the messages a stage returned from Send, in place.
+func (c *StageCtx) stamp(outs []runtime.Out) []runtime.Out {
 	for i := range outs {
-		outs[i].Payload = taggedMsg{lane: lane, stage: stage, payload: outs[i].Payload}
+		outs[i].Tag = c.tag
 	}
 	return outs
 }
 
-func unwrapInbox(inbox []runtime.Msg, lane uint8, stage uint16) ([]runtime.Msg, error) {
-	out := make([]runtime.Msg, 0, len(inbox))
+// checkInbox verifies, in place, that every message in the inbox carries
+// the tag the receiving lane and stage expect.
+func checkInbox(inbox []runtime.Msg, want uint32) error {
 	for _, m := range inbox {
-		tm, ok := m.Payload.(taggedMsg)
-		if !ok {
-			return nil, fmt.Errorf("%w: core: untagged message from node %d", runtime.ErrProtocol, m.From)
+		if m.Tag == want {
+			continue
 		}
-		if tm.lane != lane || tm.stage != stage {
-			return nil, fmt.Errorf("%w: core: lockstep violation: message from node %d on lane %d stage %d, expected lane %d stage %d",
-				runtime.ErrProtocol, m.From, tm.lane, tm.stage, lane, stage)
+		if m.Tag == 0 {
+			return fmt.Errorf("%w: core: untagged message from node %d", runtime.ErrProtocol, m.From)
 		}
-		out = append(out, runtime.Msg{From: m.From, Payload: tm.payload})
+		lane, stage := splitTag(m.Tag)
+		wantLane, wantStage := splitTag(want)
+		return fmt.Errorf("%w: core: lockstep violation: message from node %d on lane %d stage %d, expected lane %d stage %d",
+			runtime.ErrProtocol, m.From, lane, stage, wantLane, wantStage)
 	}
-	return out, nil
+	return nil
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -134,7 +135,8 @@ func TestSequencePastFinalStageFails(t *testing.T) {
 
 // desyncStage yields at different rounds on different nodes, breaking the
 // lockstep contract; the tag checks must catch the resulting cross-stage
-// message.
+// message, with the exact error text (the untagged-message text is pinned
+// by the root package's chaos ledger golden).
 func TestSequenceLockstepViolationDetected(t *testing.T) {
 	g := graph.Line(2)
 	factory := core.Sequence(mem,
@@ -151,11 +153,12 @@ func TestSequenceLockstepViolationDetected(t *testing.T) {
 		stage("next", 5, "x"),
 	)
 	_, err := runtime.Run(runtime.Config{Graph: g, Factory: factory})
-	if err == nil {
-		t.Fatal("want lockstep violation error")
+	want := `node 1 round 2: runtime: protocol violation: core: lockstep violation: message from node 2 on lane 0 stage 0, expected lane 0 stage 1 (stage "next")`
+	if err == nil || err.Error() != want {
+		t.Fatalf("want lockstep violation error:\n got  %v\n want %s", err, want)
 	}
-	if !strings.Contains(err.Error(), "lockstep") && !strings.Contains(err.Error(), "leaked") {
-		t.Errorf("unexpected error: %v", err)
+	if !errors.Is(err, runtime.ErrProtocol) {
+		t.Errorf("%v does not wrap ErrProtocol", err)
 	}
 }
 

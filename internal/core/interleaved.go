@@ -35,13 +35,13 @@ func Interleaved(mem MemoryFactory, b Stage, u StageFactory, r StageFactory, sch
 			b:       b.New(info, pred, m),
 			bName:   b.Name,
 			bBudget: b.Budget,
-			bCtx:    StageCtx{mem: m},
+			bCtx:    newCtx(m, laneInit, 0),
 			bLeft:   b.Budget,
 			u:       u,
 			r:       r,
 			sched:   sched(info),
-			uCtx:    StageCtx{mem: m},
-			rCtx:    StageCtx{mem: m},
+			uCtx:    newCtx(m, laneU, 0),
+			rCtx:    newCtx(m, laneR, 0),
 		}
 		if im.bLeft <= 0 {
 			im.bLeft = 1
@@ -112,7 +112,7 @@ func (m *interleavedMachine) Send(env *runtime.Env) []runtime.Out {
 		}
 		m.bCtx.env = env
 		m.bCtx.stageRound++
-		return wrapOuts(m.b.Send(&m.bCtx), laneInit, 0)
+		return m.bCtx.stamp(m.b.Send(&m.bCtx))
 	}
 	m.curLane = m.laneAt(m.pos)
 	if env.Tracing() {
@@ -128,22 +128,21 @@ func (m *interleavedMachine) Send(env *runtime.Env) []runtime.Out {
 		}
 		m.uCtx.env = env
 		m.uCtx.stageRound++
-		return wrapOuts(m.uMach.Send(&m.uCtx), laneU, 0)
+		return m.uCtx.stamp(m.uMach.Send(&m.uCtx))
 	}
 	m.rCtx.env = env
 	m.rCtx.stageRound++
-	return wrapOuts(m.rMach.Send(&m.rCtx), laneR, 0)
+	return m.rCtx.stamp(m.rMach.Send(&m.rCtx))
 }
 
 func (m *interleavedMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 	if m.b != nil {
 		m.bCtx.env = env
-		plain, err := unwrapInbox(inbox, laneInit, 0)
-		if err != nil {
+		if err := checkInbox(inbox, m.bCtx.tag); err != nil {
 			env.Fail(fmt.Errorf("%w (interleaved init)", err))
 			return
 		}
-		m.b.Receive(&m.bCtx, plain)
+		m.b.Receive(&m.bCtx, inbox)
 		if env.Terminated() {
 			return
 		}
@@ -155,22 +154,21 @@ func (m *interleavedMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 		}
 		return
 	}
-	plain, err := unwrapInbox(inbox, m.curLane, 0)
-	if err != nil {
+	if err := checkInbox(inbox, stageTag(m.curLane, 0)); err != nil {
 		env.Fail(fmt.Errorf("%w (interleaved lane %d)", err, m.curLane))
 		return
 	}
 	if m.curLane == laneU {
 		if !m.uDone {
 			m.uCtx.env = env
-			m.uMach.Receive(&m.uCtx, plain)
+			m.uMach.Receive(&m.uCtx, inbox)
 			if m.uCtx.yielded {
 				m.uDone = true
 			}
 		}
 	} else {
 		m.rCtx.env = env
-		m.rMach.Receive(&m.rCtx, plain)
+		m.rMach.Receive(&m.rCtx, inbox)
 		if m.rCtx.yielded && !env.Terminated() {
 			env.Fail(fmt.Errorf("%w: core: interleaved reference yielded without output at node %d", runtime.ErrProtocol, env.ID()))
 			return

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/runtime"
 )
@@ -20,7 +21,9 @@ type ParallelSpec struct {
 	// and may Yield early (the lane then idles until the budget elapses).
 	R1 StageFactory
 	// R1Budget computes the known upper bound r_1(n, Δ, d) on part 1's round
-	// complexity; every node runs the parallel section exactly this long.
+	// complexity; every node runs the parallel section exactly this long. It
+	// must depend only on info.N, info.D and info.Delta, which all nodes
+	// share: the template computes it once per run, not once per node.
 	R1Budget func(info runtime.NodeInfo) int
 	// C is the optional clean-up stage (nil to skip, e.g. when the partial
 	// solution at the budget boundary is always extendable).
@@ -37,6 +40,7 @@ type ParallelSpec struct {
 // tolerant, exactly as the paper requires. After r_1 rounds the clean-up runs
 // and the survivors finish with part 2 of the reference.
 func Parallel(spec ParallelSpec) runtime.Factory {
+	spec.R1Budget = memoBudget(spec.R1Budget)
 	return func(info runtime.NodeInfo, pred any) runtime.Machine {
 		var m any
 		if spec.Mem != nil {
@@ -48,17 +52,35 @@ func Parallel(spec ParallelSpec) runtime.Factory {
 			pred:  pred,
 			mem:   m,
 			b:     spec.B.New(info, pred, m),
-			bCtx:  StageCtx{mem: m},
+			bCtx:  newCtx(m, planeB, 0),
 			bLeft: spec.B.Budget,
-			uCtx:  StageCtx{mem: m},
-			r1Ctx: StageCtx{mem: m},
-			cCtx:  StageCtx{mem: m},
-			r2Ctx: StageCtx{mem: m},
+			uCtx:  newCtx(m, planeU, 0),
+			r1Ctx: newCtx(m, planeR, 0),
+			cCtx:  newCtx(m, planeC, 0),
+			r2Ctx: newCtx(m, plane2, 0),
 		}
 		if pm.bLeft <= 0 {
 			pm.bLeft = 1
 		}
 		return pm
+	}
+}
+
+// memoBudget caches a budget function keyed by (N, D, Δ): the first node of
+// a run computes the budget and every other node reuses it. Nodes ask from
+// Receive on pool workers, so the cache is an atomic pointer to an immutable
+// entry; racing first calls compute the same value. A factory reused on a
+// graph with other parameters recomputes once for the new key.
+func memoBudget(budget func(runtime.NodeInfo) int) func(runtime.NodeInfo) int {
+	type entry struct{ n, d, delta, rounds int }
+	var last atomic.Pointer[entry]
+	return func(info runtime.NodeInfo) int {
+		if e := last.Load(); e != nil && e.n == info.N && e.d == info.D && e.delta == info.Delta {
+			return e.rounds
+		}
+		e := &entry{n: info.N, d: info.D, delta: info.Delta, rounds: budget(info)}
+		last.Store(e)
+		return e.rounds
 	}
 }
 
@@ -86,6 +108,11 @@ type parallelMachine struct {
 	r1Ctx  StageCtx
 	r1Done bool // R1 yielded early; its lane idles
 	left   int  // rounds remaining in the parallel section
+	// uIn/rIn are the lanes' inboxes during the parallel section, refilled
+	// from the engine's inbox each round (see splitInbox); outs merges the
+	// lanes' sends when both send in one round.
+	uIn, rIn []runtime.Msg
+	outs     []runtime.Out
 
 	cMach StageMachine
 	cCtx  StageCtx
@@ -109,7 +136,7 @@ func (m *parallelMachine) Send(env *runtime.Env) []runtime.Out {
 		}
 		m.bCtx.env = env
 		m.bCtx.stageRound++
-		return wrapOuts(m.b.Send(&m.bCtx), planeB, 0)
+		return m.bCtx.stamp(m.b.Send(&m.bCtx))
 	case m.left > 0:
 		if env.Tracing() {
 			// The parallel section runs exactly R1's declared budget, which
@@ -119,7 +146,7 @@ func (m *parallelMachine) Send(env *runtime.Env) []runtime.Out {
 		}
 		m.uCtx.env = env
 		m.uCtx.stageRound++
-		outs := wrapOuts(m.uMach.Send(&m.uCtx), planeU, 0)
+		outs := m.uCtx.stamp(m.uMach.Send(&m.uCtx))
 		if env.Terminated() {
 			// The node leaves through the measure-uniform lane; part 1 sees
 			// a crash and sends nothing further.
@@ -128,12 +155,20 @@ func (m *parallelMachine) Send(env *runtime.Env) []runtime.Out {
 		if !m.r1Done {
 			m.r1Ctx.env = env
 			m.r1Ctx.stageRound++
-			r1Outs := wrapOuts(m.r1Mach.Send(&m.r1Ctx), planeR, 0)
+			r1Outs := m.r1Ctx.stamp(m.r1Mach.Send(&m.r1Ctx))
 			if env.Terminated() {
 				env.Fail(fmt.Errorf("%w: core: parallel reference part 1 output at node %d", runtime.ErrProtocol, env.ID()))
 				return nil
 			}
-			outs = append(outs, r1Outs...)
+			switch {
+			case len(outs) == 0:
+				outs = r1Outs
+			case len(r1Outs) > 0:
+				// Both lanes send: merge into the machine's own buffer,
+				// reused across rounds, instead of growing U's slice.
+				m.outs = append(append(m.outs[:0], outs...), r1Outs...)
+				outs = m.outs
+			}
 		}
 		return outs
 	case m.cMach != nil:
@@ -142,14 +177,14 @@ func (m *parallelMachine) Send(env *runtime.Env) []runtime.Out {
 		}
 		m.cCtx.env = env
 		m.cCtx.stageRound++
-		return wrapOuts(m.cMach.Send(&m.cCtx), planeC, 0)
+		return m.cCtx.stamp(m.cMach.Send(&m.cCtx))
 	case m.r2Mach != nil:
 		if env.Tracing() {
 			annotateStage(env, spanR2, 0)
 		}
 		m.r2Ctx.env = env
 		m.r2Ctx.stageRound++
-		return wrapOuts(m.r2Mach.Send(&m.r2Ctx), plane2, 0)
+		return m.r2Ctx.stamp(m.r2Mach.Send(&m.r2Ctx))
 	default:
 		env.Fail(fmt.Errorf("%w: core: parallel machine exhausted at node %d", runtime.ErrProtocol, env.ID()))
 		return nil
@@ -160,12 +195,11 @@ func (m *parallelMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 	switch {
 	case m.b != nil:
 		m.bCtx.env = env
-		plain, err := unwrapInbox(inbox, planeB, 0)
-		if err != nil {
+		if err := checkInbox(inbox, m.bCtx.tag); err != nil {
 			env.Fail(fmt.Errorf("%w (parallel init)", err))
 			return
 		}
-		m.b.Receive(&m.bCtx, plain)
+		m.b.Receive(&m.bCtx, inbox)
 		if env.Terminated() {
 			return
 		}
@@ -177,17 +211,16 @@ func (m *parallelMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 			m.left = m.spec.R1Budget(m.info)
 		}
 	case m.left > 0:
-		uIn, rIn, err := splitInbox(inbox)
-		if err != nil {
+		if err := m.splitInbox(inbox); err != nil {
 			env.Fail(fmt.Errorf("%w (parallel section)", err))
 			return
 		}
 		m.uCtx.env = env
-		m.uMach.Receive(&m.uCtx, uIn)
+		m.uMach.Receive(&m.uCtx, m.uIn)
 		terminated := env.Terminated()
 		if !m.r1Done && !terminated {
 			m.r1Ctx.env = env
-			m.r1Mach.Receive(&m.r1Ctx, rIn)
+			m.r1Mach.Receive(&m.r1Ctx, m.rIn)
 			if env.Terminated() {
 				env.Fail(fmt.Errorf("%w: core: parallel reference part 1 output at node %d", runtime.ErrProtocol, env.ID()))
 				return
@@ -202,6 +235,7 @@ func (m *parallelMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 		m.left--
 		if m.left == 0 {
 			m.uMach, m.r1Mach = nil, nil
+			m.uIn, m.rIn, m.outs = nil, nil, nil
 			if m.spec.C != nil {
 				m.cMach = m.spec.C.New(m.info, m.pred, m.mem)
 				m.cLeft = m.spec.C.Budget
@@ -214,12 +248,11 @@ func (m *parallelMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 		}
 	case m.cMach != nil:
 		m.cCtx.env = env
-		plain, err := unwrapInbox(inbox, planeC, 0)
-		if err != nil {
+		if err := checkInbox(inbox, m.cCtx.tag); err != nil {
 			env.Fail(fmt.Errorf("%w (parallel clean-up)", err))
 			return
 		}
-		m.cMach.Receive(&m.cCtx, plain)
+		m.cMach.Receive(&m.cCtx, inbox)
 		if env.Terminated() {
 			return
 		}
@@ -230,32 +263,35 @@ func (m *parallelMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 		}
 	case m.r2Mach != nil:
 		m.r2Ctx.env = env
-		plain, err := unwrapInbox(inbox, plane2, 0)
-		if err != nil {
+		if err := checkInbox(inbox, m.r2Ctx.tag); err != nil {
 			env.Fail(fmt.Errorf("%w (parallel part 2)", err))
 			return
 		}
-		m.r2Mach.Receive(&m.r2Ctx, plain)
+		m.r2Mach.Receive(&m.r2Ctx, inbox)
 	}
 }
 
 // splitInbox separates a parallel-section inbox into the measure-uniform and
-// reference-part-1 lanes, preserving order.
-func splitInbox(inbox []runtime.Msg) (uIn, rIn []runtime.Msg, err error) {
+// reference-part-1 lanes, preserving order. The lane inboxes are the
+// machine's own buffers, reused across rounds; the previous round's
+// messages are cleared first so they pin no payloads.
+func (m *parallelMachine) splitInbox(inbox []runtime.Msg) error {
+	clear(m.uIn)
+	clear(m.rIn)
+	m.uIn, m.rIn = m.uIn[:0], m.rIn[:0]
+	uTag, rTag := m.uCtx.tag, m.r1Ctx.tag
 	for _, msg := range inbox {
-		tm, ok := msg.Payload.(taggedMsg)
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: core: untagged message from node %d", runtime.ErrProtocol, msg.From)
-		}
-		plain := runtime.Msg{From: msg.From, Payload: tm.payload}
-		switch tm.lane {
-		case planeU:
-			uIn = append(uIn, plain)
-		case planeR:
-			rIn = append(rIn, plain)
+		switch msg.Tag {
+		case uTag:
+			m.uIn = append(m.uIn, msg)
+		case rTag:
+			m.rIn = append(m.rIn, msg)
+		case 0:
+			return fmt.Errorf("%w: core: untagged message from node %d", runtime.ErrProtocol, msg.From)
 		default:
-			return nil, nil, fmt.Errorf("%w: core: lane %d message from node %d during parallel section", runtime.ErrProtocol, tm.lane, msg.From)
+			lane, _ := splitTag(msg.Tag)
+			return fmt.Errorf("%w: core: lane %d message from node %d during parallel section", runtime.ErrProtocol, lane, msg.From)
 		}
 	}
-	return uIn, rIn, nil
+	return nil
 }

@@ -46,7 +46,7 @@ func (s *seqMachine) enter(k int) {
 	} else {
 		s.machine = nil
 	}
-	s.ctx = StageCtx{mem: s.mem}
+	s.ctx = newCtx(s.mem, 0, uint16(k))
 	s.pending = false
 }
 
@@ -66,13 +66,12 @@ func (s *seqMachine) Send(env *runtime.Env) []runtime.Out {
 	if s.ctx.yielded {
 		s.pending = true
 	}
-	return wrapOuts(outs, 0, uint16(s.cur))
+	return s.ctx.stamp(outs)
 }
 
 func (s *seqMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 	s.ctx.env = env
-	plain, err := unwrapInbox(inbox, 0, uint16(s.cur))
-	if err != nil {
+	if err := checkInbox(inbox, s.ctx.tag); err != nil {
 		env.Fail(fmt.Errorf("%w (stage %q)", err, s.stages[s.cur].Name))
 		return
 	}
@@ -81,7 +80,7 @@ func (s *seqMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 	// require stages to have nothing useful left to hear after yielding, and
 	// drop the inbox in that case.
 	if !s.pending {
-		s.machine.Receive(&s.ctx, plain)
+		s.machine.Receive(&s.ctx, inbox)
 		if s.ctx.yielded {
 			s.pending = true
 		}

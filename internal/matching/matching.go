@@ -126,13 +126,14 @@ type initMachine struct {
 func (m *initMachine) Send(c *core.StageCtx) []runtime.Out {
 	switch c.StageRound() {
 	case 1:
-		return runtime.Broadcast(c.Info(), predAnnounce{Partner: m.mem.Pred})
+		c.Broadcast(predAnnounce{Partner: m.mem.Pred})
+		return nil
 	case 2:
 		p := m.mem.Pred
 		if p != Unmatched && p != c.ID() && m.isNeighbor(c.Info(), p) && m.mem.NbrPred[p] == c.ID() {
-			outs := runtime.Broadcast(c.Info(), matched{Partner: p})
+			c.Broadcast(matched{Partner: p})
 			c.Output(p)
-			return outs
+			return nil
 		}
 	}
 	return nil

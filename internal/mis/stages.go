@@ -40,7 +40,8 @@ type initMachine struct {
 func (m *initMachine) Send(c *core.StageCtx) []runtime.Out {
 	switch c.StageRound() {
 	case 1:
-		return runtime.Broadcast(c.Info(), predMsg{Bit: m.mem.Pred})
+		c.Broadcast(predMsg{Bit: m.mem.Pred})
+		return nil
 	case 2:
 		if m.inI(c.Info()) {
 			return notifyAndOutput(c, m.mem, 1)

@@ -535,6 +535,9 @@ type state struct {
 	// placement pass replays them without consulting the adversary twice.
 	fateCopies []int32
 	fateSwap   []Payload
+	// view is the adversary's reusable view of a tagged message (see
+	// taggedView); interceptFate refills it per call.
+	view taggedView
 
 	// errs[i] records a per-node engine error (e.g. send to non-neighbor).
 	errs []error
@@ -838,6 +841,7 @@ func (st *state) sendPhase(i int) {
 	e := &st.envs[i]
 	e.bcastSet = false
 	e.bcast = nil
+	e.bcastTag = 0
 	e.outs = nil
 	outs, ok := st.callSend(i)
 	if !ok {
@@ -856,15 +860,8 @@ func (st *state) sendPhase(i int) {
 		// CSR neighbor range is the destination list. One bandwidth check
 		// covers every copy.
 		if limit := st.cfg.MaxMessageBits; limit > 0 {
-			bs, sized := e.bcast.(BitSized)
-			if !sized || bs.Bits() < 0 {
-				st.errs[i] = fmt.Errorf("%w: node %d sent an unsized payload %T",
-					ErrCongestViolation, e.info.ID, e.bcast)
-				return
-			}
-			if b := bs.Bits(); b > limit {
-				st.errs[i] = fmt.Errorf("%w: node %d sent %d bits (limit %d)",
-					ErrCongestViolation, e.info.ID, b, limit)
+			if err := congestCheck(e.info.ID, e.bcast, e.bcastTag, limit); err != nil {
+				st.errs[i] = err
 				return
 			}
 		}
@@ -877,7 +874,8 @@ func (st *state) sendPhase(i int) {
 	nbIDs := st.csrIDs[st.csrOff[i]:st.csrOff[i+1]]
 	nbIdx := st.csrNbr[st.csrOff[i]:st.csrOff[i+1]]
 	dst := e.dst[:0]
-	for _, out := range outs {
+	for k := range outs {
+		out := &outs[k]
 		pos := searchIDs(nbIDs, out.To)
 		if pos == len(nbIDs) || nbIDs[pos] != out.To {
 			st.errs[i] = fmt.Errorf("%w: node %d sent to non-neighbor %d", ErrProtocol, e.ID(), out.To)
@@ -885,15 +883,8 @@ func (st *state) sendPhase(i int) {
 		}
 		dst = append(dst, nbIdx[pos])
 		if limit := st.cfg.MaxMessageBits; limit > 0 {
-			bs, sized := out.Payload.(BitSized)
-			if !sized || bs.Bits() < 0 {
-				st.errs[i] = fmt.Errorf("%w: node %d sent an unsized payload %T",
-					ErrCongestViolation, e.ID(), out.Payload)
-				return
-			}
-			if b := bs.Bits(); b > limit {
-				st.errs[i] = fmt.Errorf("%w: node %d sent %d bits (limit %d)",
-					ErrCongestViolation, e.ID(), b, limit)
+			if err := congestCheck(e.ID(), out.Payload, out.Tag, limit); err != nil {
+				st.errs[i] = err
 				return
 			}
 		}
@@ -902,6 +893,22 @@ func (st *state) sendPhase(i int) {
 	if e.terminated {
 		st.terminatedThisSend[i] = true
 	}
+}
+
+// congestCheck enforces the CONGEST budget on one sent message: the payload
+// must be sized, and the message (tag header included) at most limit bits.
+// The error names the payload's own type, never a wrapper.
+//
+//dgp:hotpath
+func congestCheck(id int, payload Payload, tag uint32, limit int) error {
+	b := msgBits(payload, tag)
+	if b < 0 {
+		return fmt.Errorf("%w: node %d sent an unsized payload %T", ErrCongestViolation, id, payload)
+	}
+	if b > limit {
+		return fmt.Errorf("%w: node %d sent %d bits (limit %d)", ErrCongestViolation, id, b, limit)
+	}
+	return nil
 }
 
 //dgp:hotpath
@@ -952,7 +959,7 @@ func (st *state) route(round int, res *Result) {
 		from := e.info.ID
 		batchMsgs, batchBits := 0, 0
 		if e.bcastSet {
-			payload := e.bcast
+			payload, tag := e.bcast, e.bcastTag
 			dsts := st.csrNbr[st.csrOff[i]:st.csrOff[i+1]]
 			if adv == nil {
 				// Uniform batch: count survivors, then account the whole
@@ -968,7 +975,7 @@ func (st *state) route(round int, res *Result) {
 				}
 				if delivered > 0 {
 					total += delivered
-					st.account(payload, delivered, &batchMsgs, &batchBits, res)
+					st.account(payload, tag, delivered, &batchMsgs, &batchBits, res)
 				}
 			} else {
 				for _, dj := range dsts {
@@ -976,13 +983,13 @@ func (st *state) route(round int, res *Result) {
 					if !st.frontier.test(j) || st.terminatedThisSend[j] {
 						continue
 					}
-					copies, pl := st.consultAdversary(round, from, j, payload, res, tr)
+					copies, pl, plTag := st.consultAdversary(round, from, j, payload, tag, res, tr)
 					if copies == 0 {
 						continue
 					}
 					st.inCnt[j] += int32(copies)
 					total += copies
-					st.account(pl, copies, &batchMsgs, &batchBits, res)
+					st.account(pl, plTag, copies, &batchMsgs, &batchBits, res)
 				}
 			}
 		} else {
@@ -997,17 +1004,17 @@ func (st *state) route(round int, res *Result) {
 				if !st.frontier.test(j) || st.terminatedThisSend[j] {
 					continue
 				}
-				payload := outs[k].Payload
+				payload, tag := outs[k].Payload, outs[k].Tag
 				copies := 1
 				if adv != nil {
-					copies, payload = st.consultAdversary(round, from, j, payload, res, tr)
+					copies, payload, tag = st.consultAdversary(round, from, j, payload, tag, res, tr)
 					if copies == 0 {
 						continue
 					}
 				}
 				st.inCnt[j] += int32(copies)
 				total += copies
-				st.account(payload, copies, &batchMsgs, &batchBits, res)
+				st.account(payload, tag, copies, &batchMsgs, &batchBits, res)
 			}
 		}
 		st.roundMsgs += batchMsgs
@@ -1033,7 +1040,7 @@ func (st *state) route(round int, res *Result) {
 		e := &st.envs[i]
 		from := e.info.ID
 		if e.bcastSet {
-			payload := e.bcast
+			m := Msg{From: from, Payload: e.bcast, Tag: e.bcastTag}
 			dsts := st.csrNbr[st.csrOff[i]:st.csrOff[i+1]]
 			if adv == nil {
 				for _, dj := range dsts {
@@ -1041,7 +1048,7 @@ func (st *state) route(round int, res *Result) {
 					if !st.frontier.test(j) || st.terminatedThisSend[j] {
 						continue
 					}
-					st.inMsgs[st.inFill[j]] = Msg{From: from, Payload: payload}
+					st.inMsgs[st.inFill[j]] = m
 					st.inFill[j]++
 				}
 			} else {
@@ -1050,7 +1057,7 @@ func (st *state) route(round int, res *Result) {
 					if !st.frontier.test(j) || st.terminatedThisSend[j] {
 						continue
 					}
-					fi = st.place(from, j, payload, fi)
+					fi = st.place(j, m, fi)
 				}
 			}
 		} else {
@@ -1060,25 +1067,27 @@ func (st *state) route(round int, res *Result) {
 				if !st.frontier.test(j) || st.terminatedThisSend[j] {
 					continue
 				}
+				m := Msg{From: from, Payload: outs[k].Payload, Tag: outs[k].Tag}
 				if adv == nil {
-					st.inMsgs[st.inFill[j]] = Msg{From: from, Payload: outs[k].Payload}
+					st.inMsgs[st.inFill[j]] = m
 					st.inFill[j]++
 					continue
 				}
-				fi = st.place(from, j, outs[k].Payload, fi)
+				fi = st.place(j, m, fi)
 			}
 		}
 	}
 }
 
 // place writes one recorded-fate message into destination j's arena region
-// and returns the advanced fate cursor.
+// and returns the advanced fate cursor. A replaced payload is delivered
+// untagged.
 //
 //dgp:hotpath
-func (st *state) place(from, j int, payload Payload, fi int) int {
+func (st *state) place(j int, m Msg, fi int) int {
 	copies := int(st.fateCopies[fi])
 	if swap := st.fateSwap[fi]; swap != nil {
-		payload = swap
+		m.Payload, m.Tag = swap, 0
 	}
 	fi++
 	if copies == 0 {
@@ -1086,28 +1095,32 @@ func (st *state) place(from, j int, payload Payload, fi int) int {
 	}
 	f := st.inFill[j]
 	for c := 0; c < copies; c++ {
-		st.inMsgs[f] = Msg{From: from, Payload: payload}
+		st.inMsgs[f] = m
 		f++
 	}
 	st.inFill[j] = f
 	return fi
 }
 
-// account books count delivered copies of payload: the sender's trace batch,
-// the round and result message ledgers, and the MaxMsgBits / LOCAL-only
-// accumulators. One call covers a whole uniform batch.
+// account books count delivered copies of a message: the sender's trace
+// batch, the round and result message ledgers, and the MaxMsgBits /
+// LOCAL-only accumulators. One call covers a whole uniform batch.
 //
 //dgp:hotpath
-func (st *state) account(payload Payload, count int, batchMsgs, batchBits *int, res *Result) {
+func (st *state) account(payload Payload, tag uint32, count int, batchMsgs, batchBits *int, res *Result) {
 	*batchMsgs += count
 	res.Messages += count
+	// msgBits, spelled out: account runs once per delivered message on the
+	// returned-Out path, and the helper is too costly to inline.
 	b := -1
 	if bs, ok := payload.(BitSized); ok {
 		b = bs.Bits()
+		if tag != 0 {
+			b += TagHeaderBits
+		}
 	}
 	if b < 0 {
-		// An unsized (or wrapper-of-unsized) payload makes the run
-		// LOCAL-only.
+		// An unsized payload, tagged or not, makes the run LOCAL-only.
 		st.localOnly = true
 		return
 	}
@@ -1118,41 +1131,50 @@ func (st *state) account(payload Payload, count int, batchMsgs, batchBits *int, 
 }
 
 // consultAdversary intercepts one in-flight message: it returns the
-// delivered copy count (0 = dropped) with the possibly-replaced payload,
-// books the adversary ledgers, emits the fault events, and records the fate
-// for the placement pass. The call sequence — senders by ascending
-// identifier, each sender's messages in send order — is identical in both
-// engine modes and identical to the legacy per-message router.
+// delivered copy count (0 = dropped) with the possibly-replaced payload and
+// its tag (0 once replaced), books the adversary ledgers, emits the fault
+// events, and records the fate for the placement pass. The call sequence —
+// senders by ascending identifier, each sender's messages in send order —
+// is identical in both engine modes and identical to the legacy
+// per-message router.
 //
 //dgp:hotpath
-func (st *state) consultAdversary(round, from, j int, payload Payload, res *Result, tr *obs.Recorder) (int, Payload) {
-	copies, pl, swap := st.interceptFate(round, from, j, payload, res, tr)
+func (st *state) consultAdversary(round, from, j int, payload Payload, tag uint32, res *Result, tr *obs.Recorder) (int, Payload, uint32) {
+	copies, pl, plTag, swap := st.interceptFate(round, from, j, payload, tag, res, tr)
 	if copies == 0 {
 		st.fateCopies = append(st.fateCopies, 0)
 		st.fateSwap = append(st.fateSwap, nil)
-		return 0, nil
+		return 0, nil, 0
 	}
 	st.fateCopies = append(st.fateCopies, int32(copies))
 	st.fateSwap = append(st.fateSwap, swap)
-	return copies, pl
+	return copies, pl, plTag
 }
 
 // interceptFate is the adversary verdict core shared by the single-engine
 // and sharded counting passes: one Intercept call, the drop/corrupt/inject
-// ledgers, and the fault events. The caller records the returned fate
-// (copies; swap, nil when the payload was untouched) into its replay
-// stream.
+// ledgers, and the fault events. It returns the copy count and the
+// delivered payload and tag; the caller records the fate (copies; swap,
+// nil when the payload was untouched) into its replay stream. A tagged
+// message reaches the adversary as the engine's header-inclusive view, and
+// a replacement payload is delivered untagged.
 //
 //dgp:hotpath
-func (st *state) interceptFate(round, from, j int, payload Payload, res *Result, tr *obs.Recorder) (int, Payload, Payload) {
+func (st *state) interceptFate(round, from, j int, payload Payload, tag uint32, res *Result, tr *obs.Recorder) (int, Payload, uint32, Payload) {
 	to := st.envs[j].info.ID
-	fate := st.cfg.Adversary.Intercept(round, from, to, payload)
+	seen := payload
+	if tag != 0 {
+		st.view = taggedView{payload: payload, tag: tag}
+		seen = &st.view
+	}
+	fate := st.cfg.Adversary.Intercept(round, from, to, seen)
+	st.view.payload = nil
 	if fate.Drop {
 		// Dropped traffic goes on its own ledger, never into Messages/Bits:
 		// the bandwidth numbers stay delivery-only.
 		db := 0
-		if bs, ok := payload.(BitSized); ok && bs.Bits() > 0 {
-			db = bs.Bits()
+		if b := msgBits(payload, tag); b > 0 {
+			db = b
 		}
 		st.roundDropped++
 		st.roundDroppedBits += db
@@ -1161,12 +1183,18 @@ func (st *state) interceptFate(round, from, j int, payload Payload, res *Result,
 		if tr != nil {
 			tr.Emit(obs.Event{Type: obs.EvFault, Round: round, Node: from, Name: "drop", Value: int64(db), Aux: int64(to)})
 		}
-		return 0, nil, nil
+		return 0, nil, 0, nil
 	}
 	var swap Payload
 	if fate.Payload != nil {
-		payload = fate.Payload
-		swap = fate.Payload
+		// An adversary handing the view itself back corrupts nothing on the
+		// wire: the original tagged message is delivered. (The comparison
+		// runs only for tagged messages, against the view's pointer type,
+		// so it cannot panic on an uncomparable payload.)
+		if tag == 0 || fate.Payload != seen {
+			payload, tag = fate.Payload, 0
+			swap = fate.Payload
+		}
 		st.roundCorrupted++
 		res.Corrupted++
 		if tr != nil {
@@ -1183,11 +1211,11 @@ func (st *state) interceptFate(round, from, j int, payload Payload, res *Result,
 		}
 	}
 	if copies > 1 {
-		if bs, ok := payload.(BitSized); ok && bs.Bits() > 0 {
-			st.roundInjectedBits += (copies - 1) * bs.Bits()
+		if b := msgBits(payload, tag); b > 0 {
+			st.roundInjectedBits += (copies - 1) * b
 		}
 	}
-	return copies, payload, swap
+	return copies, payload, tag, swap
 }
 
 //dgp:hotpath

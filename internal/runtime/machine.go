@@ -19,6 +19,13 @@
 //
 // Message sizes are accounted when payloads implement BitSized, allowing
 // CONGEST-model bandwidth checks for the algorithms that fit in O(log n) bits.
+//
+// Messages carry an engine-opaque Tag next to the payload. The engine never
+// interprets it: it copies the sender's tag onto every delivered copy, and
+// sizes a tagged message as its payload plus TagHeaderBits. Composed
+// algorithms (internal/core) use the tag to multiplex several stage
+// machines over one network without boxing each payload; a tag-aware
+// sender stamps returned Outs directly or broadcasts with BroadcastTagged.
 package runtime
 
 import (
@@ -37,17 +44,59 @@ type BitSized interface {
 }
 
 // Msg is a message delivered to a node. From is the sender's identifier.
+// Tag is the sender's engine-opaque label (0 = untagged), copied from the
+// Out or BroadcastTagged call that sent the message. A payload the
+// adversary replaced (Fate.Payload) is delivered untagged.
 type Msg struct {
 	From    int
 	Payload Payload
+	Tag     uint32
 }
 
 // Out is a message a node asks the engine to send. To is a neighbor's
-// identifier; sending to a non-neighbor is a protocol error.
+// identifier; sending to a non-neighbor is a protocol error. Tag, when
+// nonzero, is delivered with the message (see Msg.Tag) and adds
+// TagHeaderBits to its accounted size.
 type Out struct {
 	To      int
 	Payload Payload
+	Tag     uint32
 }
+
+// TagHeaderBits is the accounted size of a message tag: a tagged message
+// whose payload implements BitSized counts TagHeaderBits plus the payload's
+// bits, in every ledger and in the CONGEST check. A tagged message whose
+// payload is unsized is unsized (LOCAL) like any other.
+const TagHeaderBits = 8
+
+// msgBits sizes one message: the payload's bits, plus TagHeaderBits when
+// tagged; -1 when the payload does not implement BitSized.
+//
+//dgp:hotpath
+func msgBits(payload Payload, tag uint32) int {
+	bs, ok := payload.(BitSized)
+	if !ok {
+		return -1
+	}
+	if tag == 0 {
+		return bs.Bits()
+	}
+	return TagHeaderBits + bs.Bits()
+}
+
+// taggedView is what the adversary sees of a tagged message: an opaque
+// payload sized like the delivered message, header included, so a
+// size-driven adversary (fault.Chaos's Garbage) sizes it as the ledgers do.
+// The engine owns one view and refills it for each Intercept call; it is
+// valid only for that call.
+type taggedView struct {
+	payload Payload
+	tag     uint32
+}
+
+// Bits implements BitSized: TagHeaderBits plus the payload's bits, or -1
+// when the payload is unsized.
+func (v *taggedView) Bits() int { return msgBits(v.payload, v.tag) }
 
 // NodeInfo is the static information a node knows at the start of the
 // computation, per the paper's model: its identifier, its neighbors'
@@ -126,6 +175,7 @@ type Env struct {
 	outs      []Out
 	dst       []int32
 	bcast     Payload
+	bcastTag  uint32
 	bcastSet  bool
 	inReceive bool
 }
@@ -206,7 +256,15 @@ func (e *Env) Annotate(name string, value int64) {
 // error.
 //
 //dgp:hotpath
-func (e *Env) Broadcast(payload Payload) {
+func (e *Env) Broadcast(payload Payload) { e.BroadcastTagged(payload, 0) }
+
+// BroadcastTagged is Broadcast with every delivered copy carrying tag (see
+// Msg.Tag); the same once-per-Send rules apply. It is how a composed
+// machine puts a stage broadcast on the fast path without boxing the
+// payload.
+//
+//dgp:hotpath
+func (e *Env) BroadcastTagged(payload Payload, tag uint32) {
 	if e.inReceive {
 		e.fail(fmt.Errorf("%w: Broadcast called during Receive", ErrProtocol))
 		return
@@ -216,6 +274,7 @@ func (e *Env) Broadcast(payload Payload) {
 		return
 	}
 	e.bcast = payload
+	e.bcastTag = tag
 	e.bcastSet = true
 }
 

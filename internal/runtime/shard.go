@@ -230,7 +230,7 @@ func (st *state) routeSharded(round int, res *Result) {
 		sl := st.lanes[st.laneOf[i]]
 		batchMsgs, batchBits := 0, 0
 		if e.bcastSet {
-			payload := e.bcast
+			payload, tag := e.bcast, e.bcastTag
 			dsts := st.csrNbr[st.csrOff[i]:st.csrOff[i+1]]
 			if adv == nil {
 				delivered := 0
@@ -239,11 +239,11 @@ func (st *state) routeSharded(round int, res *Result) {
 					if !st.frontier.test(j) || st.terminatedThisSend[j] {
 						continue
 					}
-					st.countShard(sl, j, 1, payload)
+					st.countShard(sl, j, 1, payload, tag)
 					delivered++
 				}
 				if delivered > 0 {
-					st.account(payload, delivered, &batchMsgs, &batchBits, res)
+					st.account(payload, tag, delivered, &batchMsgs, &batchBits, res)
 				}
 			} else {
 				for _, dj := range dsts {
@@ -251,12 +251,12 @@ func (st *state) routeSharded(round int, res *Result) {
 					if !st.frontier.test(j) || st.terminatedThisSend[j] {
 						continue
 					}
-					copies, pl := st.consultAdversaryLane(sl, round, from, j, payload, res, tr)
+					copies, pl, plTag := st.consultAdversaryLane(sl, round, from, j, payload, tag, res, tr)
 					if copies == 0 {
 						continue
 					}
-					st.countShard(sl, j, copies, pl)
-					st.account(pl, copies, &batchMsgs, &batchBits, res)
+					st.countShard(sl, j, copies, pl, plTag)
+					st.account(pl, plTag, copies, &batchMsgs, &batchBits, res)
 				}
 			}
 		} else {
@@ -266,16 +266,16 @@ func (st *state) routeSharded(round int, res *Result) {
 				if !st.frontier.test(j) || st.terminatedThisSend[j] {
 					continue
 				}
-				payload := outs[k].Payload
+				payload, tag := outs[k].Payload, outs[k].Tag
 				copies := 1
 				if adv != nil {
-					copies, payload = st.consultAdversaryLane(sl, round, from, j, payload, res, tr)
+					copies, payload, tag = st.consultAdversaryLane(sl, round, from, j, payload, tag, res, tr)
 					if copies == 0 {
 						continue
 					}
 				}
-				st.countShard(sl, j, copies, payload)
-				st.account(payload, copies, &batchMsgs, &batchBits, res)
+				st.countShard(sl, j, copies, payload, tag)
+				st.account(payload, tag, copies, &batchMsgs, &batchBits, res)
 			}
 		}
 		st.roundMsgs += batchMsgs
@@ -318,14 +318,14 @@ func (st *state) routeSharded(round int, res *Result) {
 // ledgers.
 //
 //dgp:hotpath
-func (st *state) countShard(src *laneState, j, copies int, payload Payload) {
+func (st *state) countShard(src *laneState, j, copies int, payload Payload, tag uint32) {
 	dst := st.laneOf[j]
 	src.within = append(src.within, st.inCnt[j])
 	st.inCnt[j] += int32(copies)
 	st.lanes[dst].total += copies
-	b := 0
-	if bs, ok := payload.(BitSized); ok && bs.Bits() > 0 {
-		b = bs.Bits()
+	b := msgBits(payload, tag)
+	if b < 0 {
+		b = 0
 	}
 	ss := &st.shardStats[dst]
 	ss.Delivered += copies
@@ -345,16 +345,16 @@ func (st *state) countShard(src *laneState, j, copies int, payload Payload) {
 // sending lane's replay stream instead of the global one.
 //
 //dgp:hotpath
-func (st *state) consultAdversaryLane(ls *laneState, round, from, j int, payload Payload, res *Result, tr *obs.Recorder) (int, Payload) {
-	copies, pl, swap := st.interceptFate(round, from, j, payload, res, tr)
+func (st *state) consultAdversaryLane(ls *laneState, round, from, j int, payload Payload, tag uint32, res *Result, tr *obs.Recorder) (int, Payload, uint32) {
+	copies, pl, plTag, swap := st.interceptFate(round, from, j, payload, tag, res, tr)
 	if copies == 0 {
 		ls.fateCopies = append(ls.fateCopies, 0)
 		ls.fateSwap = append(ls.fateSwap, nil)
-		return 0, nil
+		return 0, nil, 0
 	}
 	ls.fateCopies = append(ls.fateCopies, int32(copies))
 	ls.fateSwap = append(ls.fateSwap, swap)
-	return copies, pl
+	return copies, pl, plTag
 }
 
 // place is the lane's placement-and-exchange pass: replay the counting
@@ -379,26 +379,21 @@ func (ls *laneState) place() {
 		e := &st.envs[i]
 		from := e.info.ID
 		if e.bcastSet {
-			payload := e.bcast
+			bm := Msg{From: from, Payload: e.bcast, Tag: e.bcastTag}
 			dsts := st.csrNbr[st.csrOff[i]:st.csrOff[i+1]]
 			for _, dj := range dsts {
 				j := int(dj)
 				if !st.frontier.test(j) || st.terminatedThisSend[j] {
 					continue
 				}
-				pl := payload
-				copies := 1
+				m, copies := bm, 1
 				if adv {
-					copies = int(ls.fateCopies[fi])
-					if swap := ls.fateSwap[fi]; swap != nil {
-						pl = swap
-					}
-					fi++
+					copies, fi = ls.replay(&m, fi)
 					if copies == 0 {
 						continue
 					}
 				}
-				wi = ls.deliver(j, Msg{From: from, Payload: pl}, copies, wi)
+				wi = ls.deliver(j, m, copies, wi)
 			}
 		} else {
 			outs := e.outs
@@ -407,19 +402,15 @@ func (ls *laneState) place() {
 				if !st.frontier.test(j) || st.terminatedThisSend[j] {
 					continue
 				}
-				pl := outs[k].Payload
+				m := Msg{From: from, Payload: outs[k].Payload, Tag: outs[k].Tag}
 				copies := 1
 				if adv {
-					copies = int(ls.fateCopies[fi])
-					if swap := ls.fateSwap[fi]; swap != nil {
-						pl = swap
-					}
-					fi++
+					copies, fi = ls.replay(&m, fi)
 					if copies == 0 {
 						continue
 					}
 				}
-				wi = ls.deliver(j, Msg{From: from, Payload: pl}, copies, wi)
+				wi = ls.deliver(j, m, copies, wi)
 			}
 		}
 	}
@@ -434,6 +425,18 @@ func (ls *laneState) place() {
 			ls.inMsgs[sm.slot] = sm.msg
 		}
 	}
+}
+
+// replay applies the counting pass's recorded fate fi to m — a replaced
+// payload is delivered untagged — and returns the copy count (0 = dropped)
+// with the advanced fate cursor.
+//
+//dgp:hotpath
+func (ls *laneState) replay(m *Msg, fi int) (int, int) {
+	if swap := ls.fateSwap[fi]; swap != nil {
+		m.Payload, m.Tag = swap, 0
+	}
+	return int(ls.fateCopies[fi]), fi + 1
 }
 
 // deliver writes copies of m for destination j at the slot the counting

@@ -62,7 +62,8 @@ func (m *initMachine) Send(c *core.StageCtx) []runtime.Out {
 	mem := m.mem
 	switch c.StageRound() {
 	case 1:
-		return runtime.Broadcast(c.Info(), predMsg{Bit: mem.Pred})
+		c.Broadcast(predMsg{Bit: mem.Pred})
+		return nil
 	case 2:
 		if mem.Pred == 1 && !m.blackParent() {
 			return notifyAndOutput(c, mem, 1)

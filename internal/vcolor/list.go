@@ -48,7 +48,8 @@ type listMachine struct {
 }
 
 func (m *listMachine) Send(c *core.StageCtx) []runtime.Out {
-	return runtime.Broadcast(c.Info(), colorMsg{C: m.color})
+	c.Broadcast(colorMsg{C: m.color})
+	return nil
 }
 
 func (m *listMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {

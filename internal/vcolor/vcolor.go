@@ -119,12 +119,13 @@ type initMachine struct {
 func (m *initMachine) Send(c *core.StageCtx) []runtime.Out {
 	switch c.StageRound() {
 	case 1:
-		return runtime.Broadcast(c.Info(), predColorMsg{C: m.mem.Pred})
+		c.Broadcast(predColorMsg{C: m.mem.Pred})
+		return nil
 	case 2:
 		if m.keepsPrediction(c.Info()) {
-			outs := runtime.Broadcast(c.Info(), colorNotify{C: m.mem.Pred})
+			c.Broadcast(colorNotify{C: m.mem.Pred})
 			c.Output(m.mem.Pred)
-			return outs
+			return nil
 		}
 	}
 	return nil
