@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures fmt vet fuzz-smoke list trace-golden alloc-guard bench-smoke dynamic-smoke shard-smoke perf-ledger perf-gate perf-baseline all
+.PHONY: build test race lint lint-fixtures fmt vet fuzz-smoke list trace-golden alloc-guard perfbench-test bench-smoke dynamic-smoke shard-smoke perf-ledger perf-gate perf-baseline all
 
 all: build lint test
 
@@ -50,10 +50,18 @@ trace-golden:
 # Disabled tracing must stay near-zero-cost: the steady-state allocation
 # budget tests fail if the per-round allocation count regresses (0
 # allocs/round on every engine mode since the columnar rewrite, and on
-# template rounds since stage tags moved into the engine's Msg).
+# template rounds since stage tags moved into the engine's Msg). The
+# linear-growth test fails if verify, carve, eta or the identifier-order
+# helpers grow superlinearly in n (a hidden quadratic scan).
 alloc-guard:
 	$(GO) test -run 'TestSteadyStateAllocBudget' -count=1 -v ./internal/runtime/
 	$(GO) test -run 'TestTemplateAllocBudget' -count=1 -v ./internal/core/
+	$(GO) test -run 'TestLinearGrowth' -count=1 -v ./internal/heal/
+
+# The repository benchmark's own self-tests (perfbench/ is a separate Go
+# module, so `go test ./...` at the root does not reach it).
+perfbench-test:
+	cd perfbench && $(GO) test -count=1 .
 
 # The 100k-node scale sweep on both engines — a fast end-to-end smoke of
 # the columnar hot path (CSR build, arena inboxes, frontier compaction).

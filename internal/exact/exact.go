@@ -315,22 +315,11 @@ func MinHammingToMIS(g *graph.Graph, pred []int) (int, error) {
 // collect-and-solve reference in the repository, so distinct nodes computing
 // the MIS of the same component agree.
 func GreedyMISByID(g *graph.Graph) []int {
-	n := g.N()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	// Sort by identifier.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && g.ID(order[j]) < g.ID(order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	out := make([]int, n)
+	out := make([]int, g.N())
 	for i := range out {
 		out[i] = -1
 	}
-	for _, v := range order {
+	for _, v := range g.IndicesByID() {
 		take := true
 		for _, u := range g.Neighbors(v) {
 			if out[u] == 1 {

@@ -1,6 +1,8 @@
 package exact_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -124,6 +126,34 @@ func TestGreedyMISByIDValid(t *testing.T) {
 		out := exact.GreedyMISByID(g)
 		if err := verify.MIS(g, out); err != nil {
 			t.Errorf("graph %d: %v", i, err)
+		}
+	}
+}
+
+// TestGreedyMISByIDGolden pins the greedy MIS on identity and shuffled-ID
+// graphs (dense and sparse identifier domains): its identifier order is
+// what collect-and-solve references agree on.
+func TestGreedyMISByIDGolden(t *testing.T) {
+	cases := []struct {
+		n, domain int
+		seed      int64
+		want      string
+	}{
+		{400, 0, 5, "611e376087bd1163"},
+		{300, 300, 1, "0bc25d81e650a14e"},
+		{300, 1200, 2, "4d41d114e9b149c0"},
+		{1000, 4000, 3, "8a75507d5c574e3e"},
+		{500, 1000000, 4, "79467954cb5847b9"},
+	}
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(c.seed))
+		g := graph.BarabasiAlbert(c.n, 3, rng)
+		if c.domain > 0 {
+			g = graph.ShuffleIDs(g, c.domain, rng)
+		}
+		sum := sha256.Sum256([]byte(fmt.Sprint(exact.GreedyMISByID(g))))
+		if got := fmt.Sprintf("%x", sum[:8]); got != c.want {
+			t.Errorf("n=%d domain=%d seed=%d: digest %s, want %s", c.n, c.domain, c.seed, got, c.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 )
@@ -142,41 +143,41 @@ func RandomTree(n int, rng *rand.Rand) *Graph {
 	if n == 1 {
 		return NewBuilder(1).MustBuild()
 	}
-	if n == 2 {
-		return NewBuilder(2).AddEdge(0, 1).MustBuild()
-	}
 	prufer := make([]int, n-2)
 	for i := range prufer {
 		prufer[i] = rng.Intn(n)
 	}
-	deg := make([]int, n)
+	deg := make([]int, n) // 1 + remaining occurrences in the sequence
 	for i := range deg {
 		deg[i] = 1
 	}
 	for _, v := range prufer {
 		deg[v]++
 	}
-	b := NewBuilder(n)
-	// Classic Prüfer decoding with a linear scan; n is small in experiments.
-	used := make([]bool, n)
+	// Linear-time decoding: each step joins the smallest remaining leaf to
+	// the next sequence entry. ptr only moves forward over leaves; an entry
+	// that becomes a leaf below ptr is the smallest leaf and is taken next.
+	edges := make([][2]int, 0, n-1)
+	ptr := 0
+	for deg[ptr] != 1 {
+		ptr++
+	}
+	leaf := ptr
 	for _, v := range prufer {
-		for u := 0; u < n; u++ {
-			if deg[u] == 1 && !used[u] {
-				b.AddEdge(u, v)
-				used[u] = true
-				deg[v]--
-				break
-			}
+		edges = append(edges, [2]int{leaf, v})
+		deg[v]--
+		if deg[v] == 1 && v < ptr {
+			leaf = v
+			continue
 		}
-	}
-	last := make([]int, 0, 2)
-	for u := 0; u < n; u++ {
-		if deg[u] == 1 && !used[u] {
-			last = append(last, u)
+		ptr++
+		for deg[ptr] != 1 {
+			ptr++
 		}
+		leaf = ptr
 	}
-	b.AddEdge(last[0], last[1])
-	return b.MustBuild()
+	edges = append(edges, [2]int{leaf, n - 1})
+	return mustFromEdges(n, nil, 0, edges)
 }
 
 // Caterpillar returns a caterpillar tree: a spine path of length spine with
@@ -364,8 +365,11 @@ func FlipEdges(g *Graph, k int, rng *rand.Rand) *Graph {
 }
 
 // ShuffleIDs returns a copy of g with identifiers drawn without replacement
-// from {1, ..., domain} uniformly at random. domain must be >= g.N().
+// from {1, ..., domain} uniformly at random. It panics if domain < g.N().
 func ShuffleIDs(g *Graph, domain int, rng *rand.Rand) *Graph {
+	if domain < g.N() {
+		panic(fmt.Errorf("graph: ShuffleIDs domain %d < n %d", domain, g.N()))
+	}
 	perm := rng.Perm(domain)
 	b := NewBuilder(g.N())
 	b.SetDomain(domain)

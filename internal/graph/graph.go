@@ -7,6 +7,8 @@
 // (Section 2). Internally nodes are indexed 0..n-1; the identifier of index i
 // is stored in IDs[i]. Most algorithmic code works with indices and consults
 // identifiers only to break ties, exactly as the paper's algorithms do.
+// IndexOfID maps an identifier back to its index in O(1): the lookup is
+// built by the same pass that validates the identifiers.
 package graph
 
 import (
@@ -23,9 +25,72 @@ type Graph struct {
 	n       int
 	d       int // upper bound on identifiers; >= max(ids)
 	ids     []int
+	index   idIndex // id → index lookup, built with the identifier check
 	offsets []int32
 	adj     []int32
 	edges   [][2]int // each edge once, u < v by index
+}
+
+// idIndex maps identifiers back to node indices. At most one of its tables
+// is set. Neither is when the identifiers are 1..n, where the lookup is
+// arithmetic; dense covers [0, max id] when the identifier domain is
+// comparably sized to n; sparse serves huge sparse domains, such as the
+// small neighbourhood graphs collect stages build under the global d.
+type idIndex struct {
+	dense  []int32 // dense[id] = index, or -1 where no node has id
+	sparse map[int]int32
+}
+
+// indexIDs validates identifiers (positive and distinct), raises domain to
+// the largest of them, and builds the id → index lookup in the same pass.
+// Errors name the first offending node index in ids order.
+func indexIDs(ids []int, domain int) (idIndex, int, error) {
+	n := len(ids)
+	identity, maxID := true, 0
+	for i, id := range ids {
+		if id <= 0 {
+			identity = false
+			break // reported below, after any duplicate among ids[:i]
+		}
+		if id != i+1 {
+			identity = false
+		}
+		if id > maxID {
+			maxID = id
+		}
+	}
+	if maxID > domain {
+		domain = maxID
+	}
+	if identity {
+		return idIndex{}, domain, nil
+	}
+	var idx idIndex
+	if domain <= 4*n+1024 {
+		idx.dense = make([]int32, maxID+1)
+		for i := range idx.dense {
+			idx.dense[i] = -1
+		}
+	} else {
+		idx.sparse = make(map[int]int32, n)
+	}
+	for i, id := range ids {
+		if id <= 0 {
+			return idIndex{}, 0, fmt.Errorf("graph: node %d has non-positive identifier %d", i, id)
+		}
+		var dup bool
+		if idx.dense != nil {
+			dup = idx.dense[id] >= 0
+			idx.dense[id] = int32(i)
+		} else {
+			_, dup = idx.sparse[id]
+			idx.sparse[id] = int32(i)
+		}
+		if dup {
+			return idIndex{}, 0, fmt.Errorf("graph: duplicate identifier %d", id)
+		}
+	}
+	return idx, domain, nil
 }
 
 // Builder accumulates edges and produces an immutable Graph.
@@ -80,19 +145,11 @@ func (b *Builder) AddEdge(u, v int) *Builder {
 
 // Build validates the accumulated structure and returns the immutable graph.
 func (b *Builder) Build() (*Graph, error) {
-	seen := make(map[int]struct{}, b.n)
-	for i, id := range b.ids {
-		if id <= 0 {
-			return nil, fmt.Errorf("graph: node %d has non-positive identifier %d", i, id)
-		}
-		if _, dup := seen[id]; dup {
-			return nil, fmt.Errorf("graph: duplicate identifier %d", id)
-		}
-		seen[id] = struct{}{}
-		if id > b.d {
-			b.d = id
-		}
+	index, d, err := indexIDs(b.ids, b.d)
+	if err != nil {
+		return nil, err
 	}
+	b.d = d
 	edges := make([][2]int, 0, len(b.edges))
 	for e := range b.edges {
 		edges = append(edges, e)
@@ -143,6 +200,7 @@ func (b *Builder) Build() (*Graph, error) {
 		n:       b.n,
 		d:       b.d,
 		ids:     ids,
+		index:   index,
 		offsets: offsets,
 		adj:     adj,
 		edges:   edges,
@@ -199,9 +257,6 @@ func FromEdges(n int, ids []int, domain int, edges [][2]int) (*Graph, error) {
 		for i := range ids {
 			ids[i] = i + 1
 		}
-		if domain < n {
-			domain = n
-		}
 	} else {
 		if len(ids) != n {
 			return nil, fmt.Errorf("graph: %d identifiers for %d nodes", len(ids), n)
@@ -209,33 +264,10 @@ func FromEdges(n int, ids []int, domain int, edges [][2]int) (*Graph, error) {
 		own := make([]int, n)
 		copy(own, ids)
 		ids = own
-		for i, id := range ids {
-			if id <= 0 {
-				return nil, fmt.Errorf("graph: node %d has non-positive identifier %d", i, id)
-			}
-			if id > domain {
-				domain = id
-			}
-		}
-		// Distinctness check: a flat bitmap over the identifier domain when
-		// it is comparably sized to n, a map otherwise (huge sparse domains).
-		if domain <= 4*n+1024 {
-			seen := make([]bool, domain+1)
-			for _, id := range ids {
-				if seen[id] {
-					return nil, fmt.Errorf("graph: duplicate identifier %d", id)
-				}
-				seen[id] = true
-			}
-		} else {
-			seen := make(map[int]struct{}, n)
-			for _, id := range ids {
-				if _, dup := seen[id]; dup {
-					return nil, fmt.Errorf("graph: duplicate identifier %d", id)
-				}
-				seen[id] = struct{}{}
-			}
-		}
+	}
+	index, domain, err := indexIDs(ids, domain)
+	if err != nil {
+		return nil, err
 	}
 
 	deg := make([]int32, n)
@@ -265,6 +297,7 @@ func FromEdges(n int, ids []int, domain int, edges [][2]int) (*Graph, error) {
 		n:       n,
 		d:       domain,
 		ids:     ids,
+		index:   index,
 		offsets: offsets,
 		adj:     adj,
 		edges:   edges,
@@ -290,14 +323,49 @@ func (g *Graph) IDs() []int {
 	return out
 }
 
-// IndexOfID returns the node index whose identifier is id, or -1.
+// IndexOfID returns the node index whose identifier is id, or -1. It runs
+// in O(1).
 func (g *Graph) IndexOfID(id int) int {
-	for i, x := range g.ids {
-		if x == id {
-			return i
+	switch {
+	case g.index.dense != nil:
+		if id >= 0 && id < len(g.index.dense) {
+			return int(g.index.dense[id])
 		}
+	case g.index.sparse != nil:
+		if i, ok := g.index.sparse[id]; ok {
+			return int(i)
+		}
+	case id >= 1 && id <= g.n:
+		return id - 1
 	}
 	return -1
+}
+
+// IndicesByID returns the node indices ordered by ascending identifier, in
+// O(n) unless the identifier domain is sparse (then O(n log n)).
+func (g *Graph) IndicesByID() []int {
+	order := make([]int, 0, g.n)
+	if g.index.dense != nil {
+		for _, i := range g.index.dense {
+			if i >= 0 {
+				order = append(order, int(i))
+			}
+		}
+		return order
+	}
+	for i := 0; i < g.n; i++ {
+		order = append(order, i)
+	}
+	if g.index.sparse != nil {
+		sort.Slice(order, func(a, b int) bool { return g.ids[order[a]] < g.ids[order[b]] })
+	}
+	return order
+}
+
+// IdentityIDs reports whether node i has identifier i+1 for every i, so
+// that index order is identifier order and IndexOfID is arithmetic.
+func (g *Graph) IdentityIDs() bool {
+	return g.index.dense == nil && g.index.sparse == nil
 }
 
 // Degree returns the degree of node i.

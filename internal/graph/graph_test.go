@@ -1,7 +1,10 @@
 package graph_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -163,6 +166,30 @@ func TestRandomTreeIsTree(t *testing.T) {
 	}
 }
 
+// digest is a short fingerprint of a value's printed form, for golden pins.
+func digest(v any) string {
+	sum := sha256.Sum256([]byte(fmt.Sprint(v)))
+	return fmt.Sprintf("%x", sum[:8])
+}
+
+// TestRandomTreeGolden pins the edge sets RandomTree draws, so a change to
+// its decoder cannot silently change every seeded tree instance.
+func TestRandomTreeGolden(t *testing.T) {
+	want := map[[2]int]string{
+		{1, 1}: "4f53cda18c2baa0c", {2, 1}: "b3317408d0677045",
+		{3, 1}: "c71c88a6a8e8f744", {3, 7}: "c71c88a6a8e8f744", {3, 7919}: "c71c88a6a8e8f744",
+		{10, 1}: "05db6a96373d4bd0", {10, 7}: "f668070c4a0c5b9f", {10, 7919}: "a15ca5efdde675fb",
+		{257, 1}: "fda9e10491268b95", {257, 7}: "a2a3f3a973adc2cc", {257, 7919}: "af02b0f941329082",
+		{2000, 1}: "aff5a705e592f5e6", {2000, 7}: "b16a32e6042e297b", {2000, 7919}: "351d2bf9f290ea62",
+	}
+	for key, w := range want {
+		n, seed := key[0], int64(key[1])
+		if got := digest(graph.RandomTree(n, rand.New(rand.NewSource(seed))).Edges()); got != w {
+			t.Errorf("RandomTree(%d, seed %d) edges digest %s, want %s", n, seed, got, w)
+		}
+	}
+}
+
 func TestInducedSubgraph(t *testing.T) {
 	g := graph.Grid2D(4, 4)
 	nodes := []int{0, 1, 2, 5, 10, 15}
@@ -242,6 +269,17 @@ func TestShuffleIDsPreservesStructure(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestShuffleIDsDomainTooSmall(t *testing.T) {
+	defer func() {
+		r := recover()
+		err, ok := r.(error)
+		if !ok || !strings.Contains(err.Error(), "graph: ShuffleIDs domain 5 < n 10") {
+			t.Fatalf("panic %v, want a ShuffleIDs domain error", r)
+		}
+	}()
+	graph.ShuffleIDs(graph.Ring(10), 5, rand.New(rand.NewSource(1)))
 }
 
 func TestFlipEdges(t *testing.T) {

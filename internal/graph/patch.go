@@ -67,8 +67,8 @@ func edgeLess(a, b [2]int) bool {
 // and out-of-range endpoints.
 //
 // The rebuild is a single merge over the sorted edge list — O(m + k log k)
-// for k patch entries — not a Builder round trip; identifiers and the
-// identifier domain carry over unchanged.
+// for k patch entries — not a Builder round trip; identifiers, their
+// lookup and the identifier domain carry over unchanged.
 func (g *Graph) ApplyPatch(p Patch) (*Graph, []int, error) {
 	ins, err := normalizePairs(g.n, p.Insert)
 	if err != nil {
@@ -156,6 +156,7 @@ func (g *Graph) ApplyPatch(p Patch) (*Graph, []int, error) {
 		n:       g.n,
 		d:       g.d,
 		ids:     g.ids, // both graphs are immutable; sharing is safe
+		index:   g.index,
 		offsets: offsets,
 		adj:     adj,
 		edges:   merged,

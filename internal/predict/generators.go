@@ -140,17 +140,8 @@ func PerturbMatching(g *graph.Graph, pred []int, k int, rng *rand.Rand) []int {
 // coloring in ascending identifier order.
 func PerfectVColor(g *graph.Graph) []int {
 	palette := g.MaxDegree() + 1
-	order := make([]int, g.N())
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && g.ID(order[j]) < g.ID(order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
 	colors := make([]int, g.N())
-	for _, v := range order {
+	for _, v := range g.IndicesByID() {
 		used := make(map[int]bool, g.Degree(v))
 		for _, u := range g.Neighbors(v) {
 			if colors[u] != 0 {

@@ -1,6 +1,8 @@
 package predict_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -322,6 +324,33 @@ func TestGeneratorsProduceValidSolutions(t *testing.T) {
 		}
 		if uncolored := predict.EColorBaseUncolored(g, predict.PerfectEColor(g)); anyTrue(uncolored) {
 			t.Errorf("graph %d PerfectEColor leaves uncolored edges", i)
+		}
+	}
+}
+
+// TestPerfectVColorGolden pins the greedy identifier-order coloring on
+// identity and shuffled-ID graphs (dense and sparse identifier domains).
+func TestPerfectVColorGolden(t *testing.T) {
+	cases := []struct {
+		n, domain int
+		seed      int64
+		want      string
+	}{
+		{400, 0, 5, "61756b5e4e46055c"},
+		{300, 300, 1, "3cd3f976523f87f3"},
+		{300, 1200, 2, "006cf487bce1be20"},
+		{1000, 4000, 3, "79397fe7b23f2eba"},
+		{500, 1000000, 4, "12e268cbe67f1679"},
+	}
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(c.seed))
+		g := graph.BarabasiAlbert(c.n, 3, rng)
+		if c.domain > 0 {
+			g = graph.ShuffleIDs(g, c.domain, rng)
+		}
+		sum := sha256.Sum256([]byte(fmt.Sprint(predict.PerfectVColor(g))))
+		if got := fmt.Sprintf("%x", sum[:8]); got != c.want {
+			t.Errorf("n=%d domain=%d seed=%d: digest %s, want %s", c.n, c.domain, c.seed, got, c.want)
 		}
 	}
 }

@@ -592,20 +592,6 @@ type state struct {
 	observedActive  []bool
 }
 
-// idSorter sorts a CSR neighbor range ascending by node identifier. It is
-// reused across ranges so per-node sorting does not allocate a comparison
-// closure per node.
-type idSorter struct {
-	g   *graph.Graph
-	idx []int32
-}
-
-func (s *idSorter) Len() int { return len(s.idx) }
-func (s *idSorter) Less(a, b int) bool {
-	return s.g.ID(int(s.idx[a])) < s.g.ID(int(s.idx[b]))
-}
-func (s *idSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
-
 func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int) *state {
 	st := &state{
 		cfg:                cfg,
@@ -642,15 +628,8 @@ func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int) *state {
 	// already ID-sorted and can be aliased without copying or sorting.
 	off, adj := g.CSR()
 	st.csrOff = off
-	identity := true
-	for i := 0; i < n; i++ {
-		if g.ID(i) != i+1 {
-			identity = false
-			break
-		}
-	}
 	st.csrIDs = make([]int, len(adj))
-	if identity {
+	if g.IdentityIDs() {
 		st.csrNbr = adj
 		for k, v := range adj {
 			st.csrIDs[k] = int(v) + 1
@@ -659,28 +638,21 @@ func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int) *state {
 			st.actByID[i] = int32(i)
 		}
 	} else {
+		// Visiting nodes in ascending identifier order and appending each
+		// to its neighbours' ranges leaves every range ID-sorted: a
+		// counting sort over the whole CSR in O(n+m).
 		st.csrNbr = make([]int32, len(adj))
-		copy(st.csrNbr, adj)
-		srt := idSorter{g: g}
-		for i := 0; i < n; i++ {
-			srt.idx = st.csrNbr[off[i]:off[i+1]]
-			sort.Sort(&srt)
+		fill := make([]int32, n)
+		copy(fill, off[:n])
+		for k, u := range g.IndicesByID() {
+			st.actByID[k] = int32(u)
+			for _, v := range adj[off[u]:off[u+1]] {
+				st.csrNbr[fill[v]] = int32(u)
+				fill[v]++
+			}
 		}
 		for k, v := range st.csrNbr {
 			st.csrIDs[k] = g.ID(int(v))
-		}
-		if g.D() == n {
-			// Identifiers are a bijection onto {1..n}: place directly.
-			for i := 0; i < n; i++ {
-				st.actByID[g.ID(i)-1] = int32(i)
-			}
-		} else {
-			for i := range st.actByID {
-				st.actByID[i] = int32(i)
-			}
-			sort.Slice(st.actByID, func(a, b int) bool {
-				return g.ID(int(st.actByID[a])) < g.ID(int(st.actByID[b]))
-			})
 		}
 	}
 

@@ -351,6 +351,39 @@ func TestNodeInfoContents(t *testing.T) {
 	}
 }
 
+// TestNeighborIDsOnEveryLookupPath checks the engine's ID-sorted adjacency
+// against the graph on identity, bijective, dense and sparse identifiers,
+// and that inboxes arrive in sender-ID order on each.
+func TestNeighborIDsOnEveryLookupPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	grid := graph.Grid2D(6, 6)
+	ba := graph.BarabasiAlbert(200, 3, rng)
+	for _, g := range []*graph.Graph{
+		grid,
+		graph.ShuffleIDs(grid, 36, rng),
+		graph.ShuffleIDs(ba, 4*200, rng),
+		graph.ShuffleIDs(ba, 1_000_000, rng),
+	} {
+		infos := make([]runtime.NodeInfo, g.N())
+		factory := func(info runtime.NodeInfo, pred any) runtime.Machine {
+			infos[info.Index] = info
+			return &inboxOrderMachine{}
+		}
+		if _, err := runtime.Run(runtime.Config{Graph: g, Factory: factory}); err != nil {
+			t.Fatal(err)
+		}
+		for v, info := range infos {
+			want := make([]int, 0, g.Degree(v))
+			for _, u := range g.NeighborsByID(v) {
+				want = append(want, g.ID(u))
+			}
+			if fmt.Sprint(info.NeighborIDs) != fmt.Sprint(want) {
+				t.Fatalf("d=%d node %d: NeighborIDs %v, want %v", g.D(), v, info.NeighborIDs, want)
+			}
+		}
+	}
+}
+
 func TestCongestEnforcement(t *testing.T) {
 	g := graph.Line(3)
 	// Sized payloads within budget pass.
